@@ -5,8 +5,8 @@
  *
  * Three measurements:
  *
- *  1. Scale ladder — 4 hosts on the *threaded* executor, 10k -> 100k
- *     (-> 1M with --full) concurrent streams at a fixed offered rate,
+ *  1. Scale ladder — 4 hosts, 10k -> 100k (-> 1M with --full)
+ *     concurrent streams at a fixed offered rate,
  *     reporting delivery p50/p99/p999 and per-host CPU. The point is
  *     that stream count is a memory axis, not a latency axis: the
  *     wire fabric demuxes by ChannelId, so percentiles stay flat as
@@ -14,9 +14,9 @@
  *
  *  2. Host scaling — virtual-time goodput of 1 host vs 4 hosts at
  *     the same (saturating) offered load and stream count. The fleet
- *     acceptance bar is >= 2x for 4 hosts; measured deterministic
- *     under the sim engine, so this is a property of the model, not
- *     of the machine running the bench.
+ *     acceptance bar is >= 2x for 4 hosts; the run is deterministic,
+ *     so this is a property of the model, not of the machine running
+ *     the bench.
  *
  *  3. Registry wall — the first wall an earlier revision hit: the
  *     executive registry was an unordered vector searched by pointer,
@@ -59,7 +59,7 @@ wallMsSince(std::chrono::steady_clock::time_point start)
 fleet::LoadgenReport
 ladderRun(std::size_t streams)
 {
-    auto executor = exec::makeExecutor(exec::ExecutorKind::Threaded);
+    auto executor = exec::makeExecutor(exec::ExecutorKind::Sim);
     fleet::FleetConfig config;
     config.hosts = 4;
     fleet::Fleet fleet(*executor, config);
@@ -209,8 +209,8 @@ main(int argc, char **argv)
         }
     }
 
-    // 1. Scale ladder (threaded executor, 4 hosts).
-    std::printf("== scale ladder: 4 hosts, threaded executor, "
+    // 1. Scale ladder (4 hosts).
+    std::printf("== scale ladder: 4 hosts, "
                 "2M msgs/s offered, 20 ms window ==\n");
     std::printf("%9s %10s %10s %9s %9s %9s %12s %9s\n", "streams",
                 "offered", "delivered", "p50-us", "p99-us", "p999-us",
@@ -230,7 +230,7 @@ main(int argc, char **argv)
         }
     }
 
-    // 2. Host scaling (sim executor, deterministic).
+    // 2. Host scaling (deterministic).
     const fleet::LoadgenReport one = scalingRun(1);
     const fleet::LoadgenReport four = scalingRun(4);
     const double ratio =
@@ -238,7 +238,7 @@ main(int argc, char **argv)
             ? four.deliveredPerVirtualSec / one.deliveredPerVirtualSec
             : 0.0;
     std::printf("\n== host scaling: saturating open loop, "
-                "1000 streams, sim executor ==\n");
+                "1000 streams ==\n");
     std::printf("1 host:  %12.0f msgs/virtual-sec\n",
                 one.deliveredPerVirtualSec);
     std::printf("4 hosts: %12.0f msgs/virtual-sec\n",

@@ -29,7 +29,6 @@
 #include "obs/profiler.hh"
 #include "odf/odf.hh"
 #include "exec/sim_executor.hh"
-#include "exec/threaded_executor.hh"
 #include "tivo/mpeg.hh"
 
 namespace {
@@ -437,11 +436,9 @@ BENCHMARK(BM_MulticastFanout)->Arg(64)->Arg(16384);
  * TiVo-shaped stage pipeline over the executor's post() primitive:
  * each message is a refcounted Payload handed site-to-site
  * (NIC -> decode -> display in miniature), with a checksum per hop
- * standing in for stage work. Args: (sites, threaded). Under the sim
- * engine every hop is a zero-delay event through the global heap;
- * under the threaded engine each hop is an SPSC ring handoff to that
- * site's worker thread. The comparison (same site count, threaded=0
- * vs 1) isolates the per-hop dispatch cost of the two engines.
+ * standing in for stage work. Arg: sites. Every hop is a zero-delay
+ * event through the global heap, so the bench measures per-hop
+ * dispatch cost.
  */
 struct BenchPipeline
 {
@@ -503,20 +500,8 @@ void
 BM_PipelineParallel(benchmark::State &state)
 {
     const int stages = static_cast<int>(state.range(0));
-    const bool threaded = state.range(1) != 0;
-
-    std::unique_ptr<exec::Executor> engine;
-    if (threaded) {
-        exec::ThreadedExecutor::Config config;
-        // A whole batch fits in each ring, so on few-core hosts the
-        // producer enqueues a burst and each worker drains it in one
-        // scheduling quantum instead of ping-ponging per message.
-        config.ringCapacity = 4096;
-        engine = std::make_unique<exec::ThreadedExecutor>(config);
-    } else {
-        engine = std::make_unique<exec::SimExecutor>();
-    }
-    BenchPipeline pipeline(*engine, stages);
+    exec::SimExecutor engine;
+    BenchPipeline pipeline(engine, stages);
 
     // Small control-plane sized message: keeps per-hop payload work
     // (the crc touch) minor so the measurement isolates dispatch cost.
@@ -525,7 +510,7 @@ BM_PipelineParallel(benchmark::State &state)
     for (auto _ : state) {
         for (int i = 0; i < kMessages; ++i)
             pipeline.feed(message);
-        engine->drain();
+        engine.drain();
     }
     if (pipeline.processed.load() !=
         state.iterations() * static_cast<std::uint64_t>(kMessages))
@@ -536,25 +521,20 @@ BM_PipelineParallel(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PipelineParallel)
-    ->ArgNames({"sites", "threaded"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgNames({"sites"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime();
 
 /**
  * The batched hot path end to end: messages travel the same
  * site-to-site pipeline, but the handoff unit is a batch — the feeder
- * publishes every batch closure with ONE postBatch() (one ring index
- * store, at most one doorbell), and each hop forwards its whole batch
- * in one closure, the shape the channel layer's writeBatch()/
- * deliverBatchTo() produce. batch:1 degenerates to the per-message
- * pipeline (the unbatched baseline bench_gate.py pairs against);
- * items/s at sites=4 threaded=1 batch=64 versus BM_PipelineParallel
- * sites=4 threaded=1 is the headline ≥5x acceptance number.
+ * publishes every batch closure with ONE postBatch(), and each hop
+ * forwards its whole batch in one closure, the shape the channel
+ * layer's writeBatch()/deliverBatchTo() produce. batch:1 degenerates
+ * to the per-message pipeline (the unbatched baseline bench_gate.py
+ * pairs against). Args: (sites, batch).
  */
 struct BatchPipeline
 {
@@ -606,24 +586,15 @@ void
 BM_BatchedPipeline(benchmark::State &state)
 {
     const int stages = static_cast<int>(state.range(0));
-    const bool threaded = state.range(1) != 0;
-    const int batchSize = static_cast<int>(state.range(2));
-
-    std::unique_ptr<exec::Executor> engine;
-    if (threaded) {
-        exec::ThreadedExecutor::Config config;
-        config.ringCapacity = 4096;
-        engine = std::make_unique<exec::ThreadedExecutor>(config);
-    } else {
-        engine = std::make_unique<exec::SimExecutor>();
-    }
-    BatchPipeline pipeline(*engine, stages);
+    const int batchSize = static_cast<int>(state.range(1));
+    exec::SimExecutor engine;
+    BatchPipeline pipeline(engine, stages);
 
     const Payload message{Bytes(64, 0x5a)};
     constexpr int kMessages = 1024;
     for (auto _ : state) {
         pipeline.feedAll(message, kMessages, batchSize);
-        engine->drain();
+        engine.drain();
     }
     if (pipeline.processed.load() !=
         state.iterations() * static_cast<std::uint64_t>(kMessages))
@@ -631,12 +602,9 @@ BM_BatchedPipeline(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kMessages);
 }
 BENCHMARK(BM_BatchedPipeline)
-    ->ArgNames({"sites", "threaded", "batch"})
-    ->Args({4, 0, 1})
-    ->Args({4, 0, 64})
-    ->Args({2, 1, 64})
-    ->Args({4, 1, 1})
-    ->Args({4, 1, 64})
+    ->ArgNames({"sites", "batch"})
+    ->Args({4, 1})
+    ->Args({4, 64})
     ->UseRealTime();
 
 /**

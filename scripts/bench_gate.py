@@ -30,14 +30,16 @@ Three gates on top of bench_compare.py's generic 2x noise gate:
     HYDRA_PROFILER_RATIO_MAX (default 1.05); each pair is bounded by
     HYDRA_PROFILER_PAIR_MAX (default 1.25).
 
- 4. Batched pipeline: each BM_BatchedPipeline sites:4 batch:64 row is
-    paired with its batch:1 twin from the SAME run. Batching is a
+ 4. Batched pipeline: the BM_BatchedPipeline sites:4 batch:64 row is
+    paired with its batch:1 twin from the SAME run. Both rows run the
+    same four-site pipeline on the sim engine and differ only in the
+    handoff unit (one postBatch per 64 closures vs one post each), so
+    the pair isolates the batching amortization. Batching is a
     throughput feature, so batched must never be the slower side:
     geomean and per-pair time ratios must stay at most
     HYDRA_BATCH_RATIO_MAX / HYDRA_BATCH_PAIR_MAX (both default 1.0 --
-    the tentpole target is ~0.2x, so unity still leaves the full
-    noise floor as headroom). Rows at other site counts (e.g. the
-    2-site scaling row) are informational and not gated.
+    measured ratios sit near 0.05x, so unity still leaves the full
+    noise floor as headroom).
 
  5. Low-load latency: BM_ChannelLowLoad exports the deterministic
     virtual-time delivery p99 as the `p99_ns` benchmark counter; the

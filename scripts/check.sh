@@ -14,10 +14,9 @@
 #                                  # >2x slower than the checked-in
 #                                  # baseline (scripts/bench_baseline.json)
 #   scripts/check.sh --tsan        # ThreadSanitizer build, run the
-#                                  # threaded-executor test label (the
-#                                  # SPSC rings, payload pool, span id
-#                                  # generator, and the full TiVo run
-#                                  # on the threaded engine)
+#                                  # concurrency test label (payload
+#                                  # pool, span ids, profiler slots,
+#                                  # histogram recording)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,14 +60,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Wall-clock smoke of the zero-copy data path: the channel benches
-    # plus the sim-engine pipeline rows (the deterministic executor's
-    # per-hop dispatch cost; the threaded rows are excluded — real
-    # threads on a shared box are too noisy for a regression gate)
+    # plus the pipeline rows (the executor's per-hop dispatch cost)
     # against the committed baseline. Generous 2x threshold -- this
     # catches "the fast path regressed to deep copies", not
     # machine-to-machine noise.
     # Fleet end-to-end smoke first: the scale ladder (10k/100k
-    # streams, threaded executor) plus the 1-vs-4-host scaling bar.
+    # streams) plus the 1-vs-4-host scaling bar.
     # The binary exits nonzero if a run fails to deliver cleanly or
     # the 4-host goodput drops below 2x of one host.
     "$BUILD_DIR/bench/fleet_scale"
@@ -76,7 +73,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel|BM_BatchedPipeline' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"
@@ -110,15 +107,11 @@ fi
 
 cd "$BUILD_DIR"
 if [ "$TSAN" -eq 1 ]; then
-    # Under TSan, only the threaded label matters: it exercises every
-    # cross-thread structure (SPSC rings, the worker park/wake
-    # protocol, the payload pool, atomic span ids) plus one full TiVo
-    # scenario on the threaded engine.
-    ctest -L threaded --output-on-failure
-    # The chaos label adds the fault-injection paths under TSan: the
-    # engine's seeded draws from network and worker threads, plus the
-    # NIC-reset recovery protocol on the threaded engine.
-    ctest -L chaos --output-on-failure
+    # Under TSan, only the concurrency label matters: its tests start
+    # threads against every primitive the runtime shares across
+    # threads (the payload pool, atomic span ids, profiler slots,
+    # histogram recording). Everything else runs on one thread.
+    ctest -L concurrency --output-on-failure
     exit 0
 fi
 if [ "$SANITIZE" -eq 1 ]; then

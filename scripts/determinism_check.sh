@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Determinism regression check for the sim executor: two runs of the
+# Determinism regression check for the sim engine: two runs of the
 # TiVo integration scenario with the same seed must produce
 # byte-identical metrics JSON, span listings, and profiler output.
 # Registered in ctest as `determinism_sim_executor`; each run is a
@@ -7,7 +7,7 @@
 # profiler sample store start from zero both times.
 #
 # With a third argument (the hydra_fleet binary), a 4-host fleet
-# scale run on the sim executor is checked the same way: two fresh
+# scale run is checked the same way: two fresh
 # processes, byte-identical report JSON and metrics dump. Registered
 # in ctest as `determinism_fleet`.
 #
@@ -26,7 +26,7 @@ run() {
     local dir="$SCRATCH/$1"
     mkdir -p "$dir"
     (cd "$dir" &&
-     "$BIN" --server offloaded --client offloaded --executor sim \
+     "$BIN" --server offloaded --client offloaded \
             --seconds 8 --seed 42 \
             --metrics-format=json \
             --metrics-out metrics.json \
@@ -40,32 +40,32 @@ run a
 run b
 
 cmp "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" || {
-    echo "FAIL: --executor=sim metrics JSON differs between runs" >&2
+    echo "FAIL: metrics JSON differs between runs" >&2
     diff "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" || {
-    echo "FAIL: --executor=sim span output differs between runs" >&2
+    echo "FAIL: span output differs between runs" >&2
     diff "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/flight.json" "$SCRATCH/b/flight.json" || {
-    echo "FAIL: --executor=sim flight recording differs between runs" >&2
+    echo "FAIL: flight recording differs between runs" >&2
     diff "$SCRATCH/a/flight.json" "$SCRATCH/b/flight.json" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/profile.folded" "$SCRATCH/b/profile.folded" || {
-    echo "FAIL: --executor=sim profile output differs between runs" >&2
+    echo "FAIL: profile output differs between runs" >&2
     diff "$SCRATCH/a/profile.folded" "$SCRATCH/b/profile.folded" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/stdout.txt" "$SCRATCH/b/stdout.txt" || {
-    echo "FAIL: --executor=sim scenario output differs between runs" >&2
+    echo "FAIL: scenario output differs between runs" >&2
     diff "$SCRATCH/a/stdout.txt" "$SCRATCH/b/stdout.txt" | head >&2
     exit 1
 }
 
-echo "OK: sim executor is deterministic (metrics, spans, flight"
+echo "OK: sim engine is deterministic (metrics, spans, flight"
 echo "    recording, profile, and scenario output byte-identical)"
 
 # Chaos section: the seeded fault injector must not cost determinism.
@@ -77,7 +77,7 @@ run_chaos() {
     local dir="$SCRATCH/chaos-$1"
     mkdir -p "$dir"
     (cd "$dir" &&
-     "$BIN" --server offloaded --client offloaded --executor sim \
+     "$BIN" --server offloaded --client offloaded \
             --seconds 8 --seed 42 \
             --chaos '7:drop=0.01,dup=0.01,corrupt=0.005,slow=0.02,reset@3000=client-nic/5' \
             --metrics-format=json \
@@ -120,7 +120,7 @@ if [ -n "$FLEET_BIN" ]; then
         (cd "$dir" &&
          "$FLEET_BIN" --hosts 4 --streams 500 --rate 200000 \
                       --duration-ms 20 --churn 1 --seed 42 \
-                      --executor sim --json \
+                      --json \
                       --metrics-out metrics.json \
                       > report.json)
     }

@@ -13,7 +13,7 @@
  * Fault classes:
  *  - packet drop / duplicate / corrupt, injected in net::Network;
  *  - slow or stalled executor sites (SimExecutor delays the posted
- *    work in virtual time; ThreadedExecutor naps the worker thread);
+ *    work in virtual time);
  *  - payload-pool exhaustion and ring overflow, injected in the
  *    channel providers;
  *  - scheduled device resets (`reset@MS=device[/downtime-ms]`),

@@ -15,8 +15,8 @@
  * allocator. The fabric is thread-safe: refcounts are atomic
  * (relaxed increments, acquire/release decrement — the standard
  * shared-ownership protocol) and the pool freelist is mutex-guarded,
- * so Payloads may be handed between execution sites through the
- * threaded executor's SPSC rings. Cold-path only: the hot path
+ * so Payloads may be handed between threads. Cold-path only: the
+ * hot path
  * (copying, slicing) touches one atomic, never the mutex.
  *
  * Ownership model: whoever holds a Payload may read it, nobody may

@@ -83,6 +83,22 @@ parseDouble(std::string_view text, double &out)
     return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+bool
+parseU64(std::string_view text, std::uint64_t &out, std::uint64_t min,
+         std::uint64_t max)
+{
+    // from_chars on an unsigned type takes no sign and reports
+    // overflow as out-of-range rather than wrapping.
+    std::uint64_t parsed = 0;
+    auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (text.empty() || ec != std::errc() ||
+        ptr != text.data() + text.size() || parsed < min || parsed > max)
+        return false;
+    out = parsed;
+    return true;
+}
+
 std::string
 sparkline(const std::vector<double> &values)
 {

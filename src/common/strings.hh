@@ -6,6 +6,8 @@
 #ifndef HYDRA_COMMON_STRINGS_HH
 #define HYDRA_COMMON_STRINGS_HH
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,16 @@ bool parseInt(std::string_view text, long long &out);
 
 /** Parse a double; returns false on trailing garbage. */
 bool parseDouble(std::string_view text, double &out);
+
+/**
+ * Strict parser for unsigned command-line numbers: base-10 digits
+ * only, in [@p min, @p max]. No sign, whitespace, fraction or suffix,
+ * and no silent wrap: "", "-5", "1.5", "5x" and values past @p max
+ * (including past 2^64) all fail and leave @p out untouched.
+ */
+bool parseU64(std::string_view text, std::uint64_t &out,
+              std::uint64_t min = 0,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /**
  * Render a series as 8-level block glyphs scaled against its own max.

@@ -295,8 +295,8 @@ class Channel
     ChannelConfig config_;
     ChannelStats stats_;
     std::vector<Endpoint> endpoints_;
-    /** Atomic: a fleet driver thread may close (via the executive's
-     * destroy path) while the coordinator is mid-delivery. */
+    /** Atomic: another thread may close (via the executive's destroy
+     * path) while a delivery is in progress. */
     std::atomic<bool> closed_{false};
     ChannelId id_ = kInvalidChannel;
     /**

@@ -89,10 +89,10 @@ class Device
     exec::Executor &executor() { return exec_; }
 
     /**
-     * This device's execution site. The threaded engine backs it with
-     * a dedicated worker thread (the paper's fountain of CPUs made
-     * literal); the sim engine only records the name. Firmware-side
-     * work can be handed here with executor().post(execSite(), fn).
+     * This device's execution site. The sim engine only records the
+     * name (it keys per-site chaos stalls and CPU attribution).
+     * Firmware-side work can be handed here with
+     * executor().post(execSite(), fn).
      */
     exec::SiteId execSite() const { return site_; }
 

@@ -121,7 +121,7 @@ class ProgrammableNic : public Device
     NicCosts costs_;
     /**
      * Port table lock: a fleet binds one port per remote channel
-     * endpoint while the threaded executor is delivering to others, so
+     * endpoint while other threads may be delivering, so
      * bind/unbind/receive-lookup must serialize. onReceive copies the
      * binding out and runs the handler unlocked.
      */

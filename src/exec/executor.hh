@@ -1,22 +1,17 @@
 /**
  * @file
- * The execution engine abstraction (DESIGN.md §10).
+ * The execution engine interface (DESIGN.md §10).
  *
  * Every model in the substrate — hardware, OS, devices, network,
  * channels, the TiVo pipeline — advances by scheduling callbacks on
- * an Executor. The interface deliberately mirrors the discrete-event
- * simulator it was extracted from (now/schedule/cancel/run), plus
- * one new primitive the simulator never needed: post(site, fn),
- * site-affine immediate execution, the hook that lets an engine run
- * device sites on real threads.
+ * an Executor. The interface mirrors the discrete-event simulator it
+ * was extracted from (now/schedule/cancel/run), plus post(site, fn):
+ * site-affine immediate execution, which names the device site a
+ * piece of work belongs to.
  *
- * Two engines implement it:
- *  - SimExecutor: wraps sim::Simulator bit-for-bit. Deterministic;
- *    the default. post() degrades to a zero-delay event, so ordering
- *    stays globally serial.
- *  - ThreadedExecutor: thread-per-device-site with mutex-free SPSC
- *    handoff between sites. Virtual time still advances on the
- *    coordinator, but posted work runs concurrently.
+ * One engine implements it: SimExecutor, which wraps sim::Simulator
+ * bit-for-bit. It is deterministic; post() is a zero-delay event, so
+ * ordering stays globally serial and a seed replays byte-for-byte.
  *
  * No file outside src/exec/ and src/sim/ may include
  * sim/simulator.hh; consumers depend on this interface only.
@@ -48,7 +43,7 @@ using TaskId = std::uint64_t;
 /** An execution site registered with addSite(); 0 is the main loop. */
 using SiteId = std::uint32_t;
 
-/** The coordinator's own site: post() here runs on the main loop. */
+/** The main loop's own site: post() here runs on the main loop. */
 constexpr SiteId kMainSite = 0;
 
 /** Central clock, timer queue, and cross-site work router. */
@@ -63,7 +58,7 @@ class Executor
     Executor(const Executor &) = delete;
     Executor &operator=(const Executor &) = delete;
 
-    /** Engine name, "sim" or "threaded" (metric label, CLI value). */
+    /** Engine name ("sim"), used as a metric label. */
     virtual const char *backendName() const = 0;
 
     /** Current virtual time. */
@@ -87,8 +82,8 @@ class Executor
 
     /**
      * Register an execution site (a device's thread of control).
-     * The threaded engine backs each site with a dedicated worker
-     * thread; the sim engine only names it.
+     * The sim engine only names it; the id keys per-site chaos
+     * stalls and the site -> host map below.
      */
     virtual SiteId addSite(const std::string &name) = 0;
 
@@ -134,22 +129,18 @@ class Executor
     virtual std::size_t siteCount() const = 0;
 
     /**
-     * Run @p fn on @p site as soon as possible, in posting order per
-     * (producer, site) pair. Unlike schedule(), post() carries no
-     * virtual-time semantics: under the threaded engine it is a
-     * mutex-free SPSC handoff to the site's worker thread; under the
-     * sim engine it is a zero-delay event on the main loop.
+     * Run @p fn on @p site as soon as possible, in posting order.
+     * Unlike schedule(), post() carries no virtual-time delay: under
+     * the sim engine it is a zero-delay event on the main loop.
      */
     virtual void post(SiteId site, Callback fn) = 0;
 
     /**
      * Post a batch of callbacks to @p site in one handoff. Semantics
      * are identical to calling post() on each element in order — the
-     * batch is an amortization, not a reordering: under the threaded
-     * engine the whole span enters the site's ring with one index
-     * publication and at most one doorbell; under the sim engine each
-     * element becomes a zero-delay event in global FIFO order, so
-     * replay stays byte-stable. Elements are moved from.
+     * batch is an amortization, not a reordering: each element
+     * becomes a zero-delay event in global FIFO order, so replay stays
+     * byte-stable. Elements are moved from.
      */
     virtual void
     postBatch(SiteId site, std::span<Callback> fns)
@@ -159,8 +150,7 @@ class Executor
     }
 
     /** Run until the timer queue drains or the clock passes @p until.
-     * Synchronizes with posted work: returns only when every post
-     * issued before the boundary has executed. */
+     * Every post issued before the boundary has executed on return. */
     virtual void runUntil(Time until) = 0;
 
     /** Run until no timers, injected work, or posts remain. */
@@ -187,27 +177,11 @@ class Executor
     std::unordered_map<SiteId, std::string> siteHosts_;
 };
 
-/** Which engine to construct (CLI: --executor=sim|threaded). */
-enum class ExecutorKind { Sim, Threaded };
-
-/** "sim" / "threaded". */
-const char *executorKindName(ExecutorKind kind);
-
-/** Parse an --executor value; false on unknown names. */
-bool parseExecutorKind(const std::string &name, ExecutorKind &out);
+/** The engine to construct; the deterministic sim engine is the only one. */
+enum class ExecutorKind { Sim };
 
 /** Build an engine of @p kind. */
 std::unique_ptr<Executor> makeExecutor(ExecutorKind kind);
-
-/**
- * Build an engine of @p kind with an explicit drain-batch ceiling
- * (CLI: --batch-max). Bounds how many queued items a threaded worker
- * may consume per ring visit; the adaptive policy never exceeds it.
- * Ignored by the sim engine, whose batches are already a pure
- * amortization with no scheduling effect. 0 means the default.
- */
-std::unique_ptr<Executor> makeExecutor(ExecutorKind kind,
-                                       std::size_t batchMax);
 
 } // namespace hydra::exec
 

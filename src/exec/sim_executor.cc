@@ -95,28 +95,10 @@ SimExecutor::drain()
     sim_.runUntil(sim_.now());
 }
 
-const char *
-executorKindName(ExecutorKind kind)
+std::unique_ptr<Executor>
+makeExecutor(ExecutorKind)
 {
-    switch (kind) {
-      case ExecutorKind::Sim: return "sim";
-      case ExecutorKind::Threaded: return "threaded";
-    }
-    return "?";
-}
-
-bool
-parseExecutorKind(const std::string &name, ExecutorKind &out)
-{
-    if (name == "sim") {
-        out = ExecutorKind::Sim;
-        return true;
-    }
-    if (name == "threaded") {
-        out = ExecutorKind::Threaded;
-        return true;
-    }
-    return false;
+    return std::make_unique<SimExecutor>();
 }
 
 } // namespace hydra::exec

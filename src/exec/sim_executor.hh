@@ -6,7 +6,7 @@
  * post(site, fn) is a zero-delay event, so cross-site handoffs fire
  * in global scheduling order exactly as before the executor split.
  *
- * This file is one of the two executor backends allowed to include
+ * Outside src/sim/, this is the only file allowed to include
  * sim/simulator.hh.
  */
 
@@ -20,7 +20,7 @@
 
 namespace hydra::exec {
 
-/** Deterministic single-threaded engine (the default). */
+/** Deterministic single-threaded engine. */
 class SimExecutor : public Executor
 {
   public:

@@ -67,8 +67,8 @@ remoteMetrics()
  * host, its frames serialize through that host's DMA engine and
  * uplink, and the fabric delivers in order per (src, dst) node pair.
  *
- * Thread model: writeFrom may run on any driver site; delivery runs
- * on the coordinator (scheduled events). A per-channel recursive
+ * Thread model: writeFrom may be called from any thread; delivery
+ * runs on the main loop (scheduled events). A per-channel recursive
  * mutex guards endpoints_/stats_; recursive so a receive handler may
  * write back into the same channel synchronously.
  */
@@ -411,8 +411,6 @@ Host::Host(exec::Executor &executor, net::Network &network,
         LOG_DEBUG << name_
                   << ": nic attach failed: " << attached.error().describe();
     }
-
-    driverSite_ = exec_.addSite(name_ + ".driver", name_);
 
     // Fabric demux: ONE device-path port and ONE host-path port per
     // host; frames carry the ChannelId, so stream count is unbounded

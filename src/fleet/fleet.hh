@@ -96,13 +96,6 @@ class Host
     net::NodeId node() const { return node_; }
     core::ChannelExecutive &executive() { return runtime_->executive(); }
 
-    /**
-     * Worker site for this host's load driver (threaded engine: a
-     * dedicated thread; sim engine: a named zero-delay lane). Not a
-     * model CPU — it carries no attribution.
-     */
-    exec::SiteId driverSite() const { return driverSite_; }
-
     /** Frames whose ChannelId no longer routes (destroyed mid-flight). */
     std::uint64_t orphanFrames() const;
 
@@ -125,7 +118,6 @@ class Host
     std::unique_ptr<core::Runtime> runtime_;
     net::NodeId node_ = net::kInvalidNode;
     hw::Addr fabricRxBuffer_ = 0;
-    exec::SiteId driverSite_ = 0;
 
     /**
      * Inbound route table. Held across delivery so a concurrent

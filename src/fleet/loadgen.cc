@@ -23,7 +23,7 @@ struct Stream
     core::ChannelId id = core::kInvalidChannel;
 };
 
-/** Shared run state the pacer, drivers, and handlers touch. */
+/** Shared run state the pacer and handlers touch. */
 struct RunState
 {
     Fleet &fleet;
@@ -32,8 +32,7 @@ struct RunState
     std::vector<Stream> streams;
     /** streams index lists, partitioned by home host. */
     std::vector<std::vector<std::size_t>> byHome;
-    /** Deliveries counted at the receiving host (atomic: handlers
-     * fire on the coordinator while drivers churn). */
+    /** Deliveries counted at the receiving host. */
     std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> delivered;
     std::atomic<std::uint64_t> churned{0};
     std::atomic<std::uint64_t> writeFailures{0};
@@ -46,7 +45,7 @@ pickTarget(Fleet &fleet, const LoadgenConfig &config, Host &home,
     const std::size_t n = fleet.hostCount();
     if (n < 2)
         return home;
-    if (config.remoteOnly || config.useDrivers) {
+    if (config.remoteOnly) {
         // Deterministic cross-host peer, never the home itself.
         const std::uint64_t hash = placementHash(key + "#peer");
         return fleet.host((home.index() + 1 + hash % (n - 1)) % n);
@@ -199,8 +198,6 @@ runOpenLoop(Fleet &fleet, const LoadgenConfig &config)
     const sim::SimTime end = start + config.duration;
     std::uint64_t issued = 0;
     std::size_t cursor = 0;
-    std::vector<std::size_t> churnCursor(fleet.hostCount(), 0);
-    std::size_t churnHost = 0;
 
     executor.schedulePeriodic(config.tick, [&]() -> bool {
         const sim::SimTime now = executor.now();
@@ -210,65 +207,17 @@ runOpenLoop(Fleet &fleet, const LoadgenConfig &config)
             static_cast<double>(now - start) / 1e9;
         const auto target = static_cast<std::uint64_t>(
             config.offeredMsgsPerSec * elapsedSec);
-        std::uint64_t due = target > issued ? target - issued : 0;
+        const std::uint64_t due = target > issued ? target - issued : 0;
 
-        if (!config.useDrivers) {
-            for (std::uint64_t k = 0; k < due; ++k) {
-                Stream &stream =
-                    state.streams[cursor++ % state.streams.size()];
-                writeOne(state, stream);
-            }
-            for (std::size_t c = 0; c < config.churnPerTick; ++c) {
-                Stream &stream =
-                    state.streams[cursor++ % state.streams.size()];
-                churnOne(state, stream);
-            }
-            issued += due;
-            return true;
+        for (std::uint64_t k = 0; k < due; ++k) {
+            Stream &stream = state.streams[cursor++ % state.streams.size()];
+            writeOne(state, stream);
         }
-
-        // Driver mode: partition this tick's writes (and churn) by
-        // home host and hand each host's slice to its driver site in
-        // one post. Per-host single-writer: a stream is only ever
-        // touched by its home driver.
-        //
-        // Churn rotates across hosts rather than dividing: with
-        // churnPerTick < hostCount a proportional share would floor
-        // to zero everywhere and no churn would ever happen.
-        std::vector<std::size_t> churnByHost(fleet.hostCount(), 0);
         for (std::size_t c = 0; c < config.churnPerTick; ++c) {
-            do {
-                churnHost = (churnHost + 1) % fleet.hostCount();
-            } while (state.byHome[churnHost].empty());
-            ++churnByHost[churnHost];
+            Stream &stream = state.streams[cursor++ % state.streams.size()];
+            churnOne(state, stream);
         }
-        for (std::size_t h = 0; h < fleet.hostCount(); ++h) {
-            const std::vector<std::size_t> &homed = state.byHome[h];
-            if (homed.empty())
-                continue;
-            const std::uint64_t share =
-                due * homed.size() / state.streams.size();
-            const std::size_t churnShare = churnByHost[h];
-            if (share == 0 && churnShare == 0)
-                continue;
-            issued += share;
-            std::size_t &hostCursor = churnCursor[h];
-            const std::size_t begin = hostCursor;
-            hostCursor += share + churnShare;
-            executor.post(
-                fleet.host(h).driverSite(),
-                [&state, &homed, begin, share, churnShare]() {
-                    for (std::uint64_t k = 0; k < share; ++k)
-                        writeOne(state,
-                                 state.streams[homed[(begin + k) %
-                                                     homed.size()]]);
-                    for (std::size_t c = 0; c < churnShare; ++c)
-                        churnOne(
-                            state,
-                            state.streams[homed[(begin + share + c) %
-                                                homed.size()]]);
-                });
-        }
+        issued += due;
         return true;
     });
 

@@ -11,11 +11,8 @@
  * destroys/recreates streams while traffic flows, which is what
  * exposed the executive registry wall this refactor removed.
  *
- * Thread model: by default everything runs on the coordinator
- * (deterministic under the sim engine). With useDrivers, writes are
- * posted to each host's driver site — real threads under the
- * threaded engine — and placement is forced cross-host, because only
- * the remote transport is multi-writer safe.
+ * Everything runs on the executor's main loop, so a seeded run is
+ * deterministic.
  */
 
 #ifndef HYDRA_FLEET_LOADGEN_HH
@@ -44,10 +41,8 @@ struct LoadgenConfig
     sim::SimTime tick = sim::microseconds(100);
     /** Extra virtual time after the window for in-flight deliveries. */
     sim::SimTime drain = sim::milliseconds(5);
-    /** Force every stream cross-host (implied by useDrivers). */
+    /** Force every stream cross-host. */
     bool remoteOnly = false;
-    /** Post writes to per-host driver sites (threads when threaded). */
-    bool useDrivers = false;
     /** Streams destroyed+recreated per pacer tick (registry churn). */
     std::size_t churnPerTick = 0;
     /** Shared channel display name: bounds the latency-histogram

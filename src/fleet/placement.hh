@@ -4,9 +4,9 @@
  *
  * The fleet decides which host a stream lives on by hashing its key
  * onto a ring of virtual nodes. Reads are lock-free: the ring is an
- * immutable snapshot behind an atomic shared_ptr, so per-host load
- * drivers resolve placement concurrently while membership changes
- * (rebuild) swap in a fresh snapshot. Consistent hashing keeps the
+ * immutable snapshot behind an atomic shared_ptr, so readers on any
+ * thread resolve placement while membership changes (rebuild) swap
+ * in a fresh snapshot. Consistent hashing keeps the
  * reshuffle on membership change proportional to 1/N of the keys,
  * which the placement unit test asserts.
  */

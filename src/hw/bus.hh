@@ -71,10 +71,10 @@ class Bus
     double bandwidthGbps_;
     sim::SimTime setupLatency_;
     /**
-     * A real bus is an arbiter: in a fleet, a host's driver thread
-     * (remote channel sends) and the coordinator (DMA completions,
-     * intra-host rings) both queue transfers concurrently, so the
-     * free-time bookkeeping serializes under a lock. The critical
+     * A real bus is an arbiter: remote channel sends and DMA
+     * completions or intra-host rings may queue transfers from
+     * different threads, so the free-time bookkeeping serializes
+     * under a lock. The critical
      * section is a few integer updates; the completion callback is
      * scheduled outside it.
      */

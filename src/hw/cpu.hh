@@ -81,9 +81,8 @@ class Cpu
     std::string name_;
     double clockGhz_;
     /**
-     * Relaxed atomics: each Cpu has a single writer (its site's
-     * thread), but the coordinator reads both fields for CPU
-     * attribution while the threaded engine's workers run.
+     * Relaxed atomics: each Cpu has a single writer (its site), and
+     * CPU attribution may read both fields from another thread.
      */
     std::atomic<sim::SimTime> busyTime_{0};
     std::atomic<sim::SimTime> freeAt_{0};

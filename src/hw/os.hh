@@ -145,8 +145,8 @@ class OsKernel
     CacheModel &l2_;
     OsConfig config_;
     hydra::Rng rng_;
-    /** Atomic bump pointer: fleet drivers allocate stream buffers
-     * concurrently with the coordinator's kernel paths. */
+    /** Atomic bump pointer: stream buffers may be allocated from
+     * another thread concurrently with the kernel paths. */
     std::atomic<Addr> nextAddr_{0x1000'0000};
     Addr hotSet_ = 0;
     Addr backgroundStream_ = 0;

@@ -85,8 +85,8 @@ class Network
     NetworkConfig config_;
     /**
      * One fabric is shared by every host of a fleet, so link-state
-     * updates (txFreeAt/rxFreeAt), stats, and the loss RNG are reached
-     * from multiple threaded-executor workers concurrently. One lock
+     * updates (txFreeAt/rxFreeAt), stats, and the loss RNG may be
+     * reached from several threads concurrently. One lock
      * covers them all: the critical sections are a handful of integer
      * updates, far cheaper than the modeled wire times they compute.
      * Handlers are invoked WITHOUT the lock held (deliver copies the

@@ -26,9 +26,9 @@
  * durations up front); the unclamped remainder carries into the next
  * window because busyReported only advances by the clamped amount.
  *
- * Thread model: registration and sync run on the coordinator thread;
- * the busy callbacks read relaxed atomics that device worker threads
- * write, so sync is safe while the threaded engine is running.
+ * Thread model: registration and sync run on the main loop; the busy
+ * callbacks read relaxed atomics, so sync is safe while other threads
+ * write them.
  */
 
 #ifndef HYDRA_OBS_ATTRIBUTION_HH

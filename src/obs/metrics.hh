@@ -39,9 +39,9 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /**
  * Monotonic event counter. add() is a relaxed fetch_add: uncontended
  * (the common case — most counters have one writer) it costs the same
- * as a plain store on x86, and under the threaded executor concurrent
- * writers never lose increments, which the payload-conservation
- * invariants (allocations == recycles + live) depend on.
+ * as a plain store on x86, and concurrent writers never lose
+ * increments, which the payload-conservation invariants
+ * (allocations == recycles + live) depend on.
  */
 class Counter
 {

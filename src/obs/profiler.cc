@@ -105,8 +105,8 @@ Profiler::sample(std::uint64_t nowNs)
     taken.increment();
     for (SiteActivitySlot &slot : slots_) {
         // Sampling rule (header comment): open scope beats recent
-        // scope beats parked beats idle. "Recent" means the last
-        // scope's virtual end time lies within one interval of now —
+        // scope beats idle. "Recent" means the last scope's virtual
+        // end time lies within one interval of now —
         // in a discrete-event engine the sampler almost always fires
         // between events, so the recency window is what attributes
         // virtual time to the work that actually occupied it.
@@ -125,9 +125,6 @@ Profiler::sample(std::uint64_t nowNs)
             key += label->offcode;
             key += ';';
             key += label->phase;
-        } else if (slot.parked.load(std::memory_order_relaxed)) {
-            key += ";parked";
-            level = -1.0;
         } else {
             key += ";idle";
             level = 0.0;

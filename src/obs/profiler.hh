@@ -5,7 +5,7 @@
  * A periodic sampler — driven by the executor's timer machinery, so
  * it is deterministic under the SimExecutor — that records what each
  * execution site is doing: running which Offcode in which handler
- * phase, idle, or parked (threaded engine only). Samples aggregate
+ * phase, or idle. Samples aggregate
  * into per-site folded stacks ("site;offcode;phase count"), the text
  * format flamegraph.pl and speedscope consume directly, and each
  * sample also emits a per-site Perfetto counter track when tracing
@@ -23,9 +23,7 @@
  *   2. the last finished scope, if its recorded virtual end time is
  *      within one sampling interval of now (the work occupied the
  *      site's recent past or queued future), else
- *   3. "parked" when the threaded engine's worker is blocked on its
- *      condition variable, else
- *   4. "idle".
+ *   3. "idle".
  *
  * Slots and labels are interned once and live for the process, so
  * hot paths cache raw pointers and never take the registry mutex.
@@ -59,8 +57,6 @@ struct SiteActivitySlot
     std::atomic<const ActivityLabel *> last{nullptr};
     /** Virtual end time of the last finished scope (0 = never). */
     std::atomic<std::uint64_t> lastEndNs{0};
-    /** Threaded engine: worker blocked on its cv. */
-    std::atomic<bool> parked{false};
 };
 
 class Profiler;

@@ -8,7 +8,7 @@
  * message sends stamp it onto the wire and deliveries restore it at
  * the receiving site (ContextScope), so a frame's journey host ->
  * NIC -> disk shows up as one connected trace even when the hops run
- * on different worker threads. Span ids come from one process-wide
+ * on different threads. Span ids come from one process-wide
  * atomic counter, so ids never collide across threads.
  *
  * Cost model matches the tracer:

@@ -9,6 +9,7 @@
 #define HYDRA_SIM_TIME_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace hydra::sim {
 
@@ -19,6 +20,13 @@ constexpr SimTime kNanosecond = 1;
 constexpr SimTime kMicrosecond = 1000 * kNanosecond;
 constexpr SimTime kMillisecond = 1000 * kMicrosecond;
 constexpr SimTime kSecond = 1000 * kMillisecond;
+
+/** Largest whole count of @p unit that fits in a SimTime. */
+constexpr std::uint64_t
+maxCount(SimTime unit)
+{
+    return std::numeric_limits<SimTime>::max() / unit;
+}
 
 constexpr SimTime
 nanoseconds(std::uint64_t n)

@@ -36,16 +36,6 @@ struct TestbedConfig
     ServerKind server = ServerKind::Simple;
     ClientKind client = ClientKind::Receiver;
 
-    /** Execution engine: deterministic sim (default) or threaded. */
-    exec::ExecutorKind executor = exec::ExecutorKind::Sim;
-
-    /**
-     * Ceiling on the threaded engine's adaptive drain quantum
-     * (--batch-max); 0 keeps the engine default. The sim engine
-     * ignores it (its batches have no scheduling effect).
-     */
-    std::size_t batchMax = 0;
-
     /** Measured run length (the paper: 10 minutes). */
     sim::SimTime duration = sim::seconds(60);
     /** Settling time excluded from all samples. */

@@ -175,8 +175,7 @@ TEST_F(ChaosFixture, DisabledEngineNeverFires)
  * despite the device going down mid-stream, and the recovery path
  * (offcode restart + rx replay) actually ran.
  */
-void
-runResetSurvival(exec::ExecutorKind executorKind)
+TEST_F(ChaosFixture, NicResetMidStreamLosesNothingSim)
 {
     chaos::ChaosSpec spec;
     spec.seed = 7;
@@ -187,7 +186,6 @@ runResetSurvival(exec::ExecutorKind executorKind)
     tivo::TestbedConfig config;
     config.server = tivo::ServerKind::Offloaded;
     config.client = tivo::ClientKind::Offloaded;
-    config.executor = executorKind;
     config.duration = sim::seconds(10);
     tivo::Testbed testbed(config);
     const tivo::ScenarioResult result = testbed.run();
@@ -204,16 +202,6 @@ runResetSurvival(exec::ExecutorKind executorKind)
     EXPECT_GE(metrics.counterTotal("chaos.recoveries"), 1u);
     EXPECT_EQ(metrics.counterTotal("nic.reset_rx_dropped"), 0u);
     EXPECT_GE(chaos::ChaosEngine::instance().injected(), 1u);
-}
-
-TEST_F(ChaosFixture, NicResetMidStreamLosesNothingSim)
-{
-    runResetSurvival(exec::ExecutorKind::Sim);
-}
-
-TEST_F(ChaosFixture, NicResetMidStreamLosesNothingThreaded)
-{
-    runResetSurvival(exec::ExecutorKind::Threaded);
 }
 
 // ------------------------------------------- firmware OS: watchdog

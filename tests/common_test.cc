@@ -413,6 +413,26 @@ TEST(StringsTest, ParseNumbers)
     EXPECT_FALSE(parseDouble("3.5z", d));
 }
 
+TEST(StringsTest, ParseU64IsStrict)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ull);
+    for (const char *bad : {"", "-5", "+5", " 5", "5 ", "1.5", "5x", "abc",
+                            "18446744073709551616",
+                            "99999999999999999999"}) {
+        v = 7;
+        EXPECT_FALSE(parseU64(bad, v)) << "accepted '" << bad << "'";
+        EXPECT_EQ(v, 7u) << "clobbered by '" << bad << "'";
+    }
+    EXPECT_FALSE(parseU64("0", v, 1));
+    EXPECT_TRUE(parseU64("1", v, 1));
+    EXPECT_TRUE(parseU64("10", v, 1, 10));
+    EXPECT_FALSE(parseU64("11", v, 1, 10));
+}
+
 TEST(StringsTest, ToLower)
 {
     EXPECT_EQ(toLower("AsymmetricGANG"), "asymmetricgang");

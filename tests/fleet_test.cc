@@ -3,7 +3,7 @@
  * Fleet tests (DESIGN.md §14): consistent-hash placement, cross-host
  * channels over the wire fabric (FIFO + exactly-one-copy), the
  * sharded executive's id-indexed registry, and the open-loop load
- * generator on both execution engines.
+ * generator.
  */
 
 #include <gtest/gtest.h>
@@ -415,54 +415,6 @@ TEST(LoadgenTest, SimRunsAreDeterministic)
     EXPECT_EQ(a.churned, b.churned);
     EXPECT_EQ(a.wireCopies, b.wireCopies);
     EXPECT_EQ(a.latency.p99, b.latency.p99);
-}
-
-// --------------------------------------------------- threaded engine
-
-TEST(FleetThreadedTest, CrossHostFifoOnThreadedExecutor)
-{
-    auto exec = exec::makeExecutor(exec::ExecutorKind::Threaded);
-    FleetConfig config;
-    config.hosts = 4;
-    Fleet fleet(*exec, config);
-
-    Received sink;
-    core::Channel *channel =
-        makeCrossHostChannel(fleet, fleet.host(1), fleet.host(3), sink);
-    ASSERT_NE(channel, nullptr);
-
-    constexpr std::uint64_t kMessages = 50;
-    for (std::uint64_t i = 0; i < kMessages; ++i)
-        ASSERT_TRUE(channel->write(stampedMessage(i, 128)).ok());
-    exec->runUntil(exec->now() + sim::milliseconds(50));
-    exec->drain();
-
-    ASSERT_EQ(sink.seqs.size(), kMessages);
-    for (std::uint64_t i = 0; i < kMessages; ++i)
-        EXPECT_EQ(sink.seqs[i], i) << "out of order at " << i;
-}
-
-TEST(FleetThreadedTest, DriverStressWithChurn)
-{
-    auto exec = exec::makeExecutor(exec::ExecutorKind::Threaded);
-    FleetConfig config;
-    config.hosts = 4;
-    Fleet fleet(*exec, config);
-
-    LoadgenConfig load;
-    load.streams = 48;
-    load.messageBytes = 128;
-    load.offeredMsgsPerSec = 50000;
-    load.duration = sim::milliseconds(20);
-    load.useDrivers = true; // per-host driver threads
-    load.churnPerTick = 1;  // destroy/recreate under live traffic
-    auto report = runOpenLoop(fleet, load);
-
-    EXPECT_GT(report.delivered, 0u);
-    EXPECT_GT(report.churned, 0u);
-    EXPECT_EQ(report.writeFailures, 0u);
-    // Driver mode forces cross-host placement.
-    EXPECT_EQ(report.localStreams, 0u);
 }
 
 } // namespace

@@ -486,16 +486,14 @@ TEST(TestbedTest, DifferentSeedsDifferentNoise)
  * CPU attribution invariant: for every execution site, the busy and
  * idle counters a run accumulates sum to exactly the virtual time the
  * run covered — the clamped-delta accounting may defer busy time, but
- * it never loses or invents any. Checked on both engines; metrics are
- * process-cumulative, so everything is measured as deltas across one
- * Testbed whose construction re-baselines the site entries.
+ * it never loses or invents any. Metrics are process-cumulative, so
+ * everything is measured as deltas across one Testbed whose
+ * construction re-baselines the site entries.
  */
-void
-expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
+TEST(TestbedTest, CpuAttributionCoversElapsedSim)
 {
     TestbedConfig config =
         quickConfig(ServerKind::Offloaded, ClientKind::Offloaded);
-    config.executor = kind;
     config.duration = sim::seconds(10);
     Testbed testbed(config);
 
@@ -552,16 +550,6 @@ expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind kind)
     EXPECT_GT(registry.counterValue("offcode.cpu_ns",
                                     {{"offcode", "tivo.Decoder"}}),
               decoderCpuBefore);
-}
-
-TEST(TestbedTest, CpuAttributionCoversElapsedSim)
-{
-    expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind::Sim);
-}
-
-TEST(TestbedTest, CpuAttributionCoversElapsedThreaded)
-{
-    expectBusyPlusIdleEqualsElapsed(exec::ExecutorKind::Threaded);
 }
 
 } // namespace

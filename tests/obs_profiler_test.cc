@@ -1,16 +1,17 @@
 /**
  * @file
- * Sampling profiler: attribution rules (running / recent / parked /
- * idle), folded-stack export, and a threaded stress run that hammers
+ * Sampling profiler: attribution rules (running / recent / idle),
+ * folded-stack export, and a multi-threaded stress run that hammers
  * ActivityScope publication from worker threads while the main thread
- * samples — the TSAN job runs this via the `threaded` label.
+ * samples — the TSAN job runs this via the `concurrency` label.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "exec/threaded_executor.hh"
 #include "obs/profiler.hh"
 
 using namespace hydra;
@@ -93,19 +94,6 @@ TEST_F(ProfilerTest, RecentWorkAttributesWithinOneInterval)
         << folded;
 }
 
-TEST_F(ProfilerTest, ParkedBeatsIdle)
-{
-    Profiler &profiler = Profiler::instance();
-    profiler.enable(100);
-    SiteActivitySlot *slot = profiler.slotFor("prof.parked");
-    slot->parked.store(true);
-    profiler.sample(500);
-    slot->parked.store(false);
-
-    EXPECT_NE(profiler.foldedStacks().find("prof.parked;parked 1"),
-              std::string::npos);
-}
-
 TEST_F(ProfilerTest, AbandonedScopeLeavesLastEndUntouched)
 {
     Profiler &profiler = Profiler::instance();
@@ -162,39 +150,36 @@ TEST_F(ProfilerTest, InternReturnsStableIdentity)
 }
 
 /**
- * Thread-safety stress: four workers publish scopes through their
- * interned slots while the coordinator samples concurrently. Run
- * under TSAN via `ctest -L threaded`; the assertion here is only that
- * every sample saw every site.
+ * Thread-safety stress: four threads publish scopes through their
+ * interned slots while the main thread samples concurrently. Run
+ * under TSAN via `ctest -L concurrency`; the assertion here is only
+ * that every sample saw every site.
  */
 TEST_F(ProfilerTest, ThreadedPublicationStress)
 {
     Profiler &profiler = Profiler::instance();
     profiler.enable(1000);
 
-    exec::ThreadedExecutor engine;
     constexpr int kSites = 4;
     constexpr int kRounds = 200;
-    std::vector<exec::SiteId> sites;
     std::vector<SiteActivitySlot *> slots;
-    for (int s = 0; s < kSites; ++s) {
-        const std::string name = "stress-" + std::to_string(s);
-        sites.push_back(engine.addSite(name));
-        slots.push_back(profiler.slotFor(name));
-    }
+    for (int s = 0; s < kSites; ++s)
+        slots.push_back(profiler.slotFor("stress-" + std::to_string(s)));
     const ActivityLabel *label = profiler.intern("stress.oc", "data");
 
-    for (int round = 0; round < kRounds; ++round) {
-        for (int s = 0; s < kSites; ++s) {
-            SiteActivitySlot *slot = slots[s];
-            engine.post(sites[s], [slot, label, round]() {
+    std::vector<std::thread> workers;
+    for (int s = 0; s < kSites; ++s) {
+        workers.emplace_back([slot = slots[s], label]() {
+            for (int round = 0; round < kRounds; ++round) {
                 ActivityScope scope(slot, label);
                 scope.finish(static_cast<std::uint64_t>(round) + 1);
-            });
-        }
-        profiler.sample(static_cast<std::uint64_t>(round) + 1);
+            }
+        });
     }
-    engine.drain();
+    for (int round = 0; round < kRounds; ++round)
+        profiler.sample(static_cast<std::uint64_t>(round) + 1);
+    for (std::thread &worker : workers)
+        worker.join();
     profiler.sample(kRounds + 1000);
 
     EXPECT_EQ(profiler.samplesTaken(),

@@ -13,7 +13,6 @@
 
 #include "common/bytes.hh"
 #include "common/payload.hh"
-#include "exec/spsc_queue.hh"
 
 namespace hydra {
 namespace {
@@ -213,55 +212,6 @@ TEST(PayloadPoolTest, SteadyStateTrafficStopsAllocating)
     const auto after = payloadPoolStats();
     EXPECT_EQ(after.allocations, warmStats.allocations);
     EXPECT_EQ(after.poolHits, warmStats.poolHits + 100);
-}
-
-TEST(PayloadPoolTest, SpscSlotReleasesBufferAfterPop)
-{
-    // A popped ring slot must not retain a reference to the pooled
-    // buffer: pop() resets the slot, so dropping the consumer's copy
-    // returns the node to the freelist immediately instead of
-    // waiting for the slot to be overwritten a full lap later.
-    payloadPoolTrim();
-    exec::SpscQueue<Payload> ring(8);
-    const auto base = payloadPoolStats();
-
-    {
-        PayloadBuilder builder;
-        builder.buffer().assign(512, 7);
-        ASSERT_TRUE(ring.push(builder.seal()));
-    }
-    Payload out;
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(payloadPoolStats().recycles, base.recycles);
-
-    out = Payload(); // last live reference — the slot holds none
-    EXPECT_EQ(payloadPoolStats().recycles, base.recycles + 1);
-    EXPECT_EQ(payloadPoolStats().freeNodes, 1u);
-}
-
-TEST(PayloadPoolTest, SpscBatchSlotsReleaseBuffersAfterPopBatch)
-{
-    payloadPoolTrim();
-    exec::SpscQueue<Payload> ring(8);
-    const auto base = payloadPoolStats();
-
-    std::vector<Payload> batch;
-    for (int i = 0; i < 4; ++i) {
-        PayloadBuilder builder;
-        builder.buffer().assign(256, static_cast<std::uint8_t>(i));
-        batch.push_back(builder.seal());
-    }
-    ASSERT_EQ(ring.pushBatch({batch.data(), batch.size()}), 4u);
-    batch.clear(); // producer copies are gone; slots hold the refs
-
-    Payload out[4];
-    ASSERT_EQ(ring.popBatch(out, 4), 4u);
-    EXPECT_EQ(payloadPoolStats().recycles, base.recycles);
-
-    for (Payload &p : out)
-        p = Payload(); // consumed slots were cleared by popBatch
-    EXPECT_EQ(payloadPoolStats().recycles, base.recycles + 4);
-    EXPECT_EQ(payloadPoolStats().freeNodes, 4u);
 }
 
 } // namespace

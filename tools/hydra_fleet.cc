@@ -12,8 +12,7 @@
  * Usage:
  *   hydra_fleet [--hosts N] [--streams N] [--rate MSGS_PER_SEC]
  *               [--bytes N] [--duration-ms N] [--tick-us N]
- *               [--executor sim|threaded] [--churn N]
- *               [--remote-only] [--drivers] [--seed N]
+ *               [--churn N] [--remote-only] [--seed N]
  *               [--background-load] [--json]
  *               [--metrics] [--metrics-out FILE]
  *               [--chaos SEED[:spec]]
@@ -21,15 +20,18 @@
  * --chaos arms the deterministic fault injector (same grammar as
  * hydra_sim). Scheduled resets match fleet NICs by name ("host0-nic",
  * "host1-nic", ...).
+ *
+ * Numeric flags are parsed strictly (parseU64): a sign, fraction,
+ * suffix, overflow or out-of-range value is a usage error (exit 2).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/strings.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
 #include "fleet/loadgen.hh"
@@ -46,29 +48,13 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--hosts N] [--streams N] [--rate MSGS_PER_SEC]\n"
         "          [--bytes N] [--duration-ms N] [--tick-us N]\n"
-        "          [--executor sim|threaded] [--churn N]\n"
-        "          [--remote-only] [--drivers] [--seed N]\n"
+        "          [--churn N] [--remote-only] [--seed N]\n"
         "          [--background-load] [--json]\n"
         "          [--metrics] [--metrics-out FILE]\n"
         "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
         "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
         argv0);
     return 2;
-}
-
-bool
-parseU64(const char *value, std::uint64_t &out)
-{
-    if (!value || *value == '\0')
-        return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    out = parsed;
-    return true;
 }
 
 void
@@ -163,7 +149,6 @@ main(int argc, char **argv)
 {
     fleet::FleetConfig fleetConfig;
     fleet::LoadgenConfig load;
-    exec::ExecutorKind kind = exec::ExecutorKind::Sim;
     bool json = false;
     bool printMetrics = false;
     std::string metricsOut;
@@ -174,42 +159,35 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
         std::uint64_t parsed = 0;
-        if (arg == "--hosts" && parseU64(value, parsed) && parsed > 0) {
+        // Strict value in [min, max]; consumes it on success.
+        auto u64 = [&](std::uint64_t min,
+                       std::uint64_t max =
+                           std::numeric_limits<std::uint64_t>::max()) {
+            if (!value || !parseU64(value, parsed, min, max))
+                return false;
+            ++i;
+            return true;
+        };
+        if (arg == "--hosts" && u64(1)) {
             fleetConfig.hosts = parsed;
-            ++i;
-        } else if (arg == "--streams" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--streams" && u64(1)) {
             load.streams = parsed;
-            ++i;
-        } else if (arg == "--rate" && parseU64(value, parsed)) {
+        } else if (arg == "--rate" && u64(0)) {
             load.offeredMsgsPerSec = static_cast<double>(parsed);
-            ++i;
-        } else if (arg == "--bytes" && parseU64(value, parsed) &&
-                   parsed >= 8) {
+        } else if (arg == "--bytes" && u64(8)) {
             load.messageBytes = parsed;
-            ++i;
-        } else if (arg == "--duration-ms" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--duration-ms" &&
+                   u64(1, sim::maxCount(sim::kMillisecond))) {
             durationMs = parsed;
-            ++i;
-        } else if (arg == "--tick-us" && parseU64(value, parsed) &&
-                   parsed > 0) {
+        } else if (arg == "--tick-us" &&
+                   u64(1, sim::maxCount(sim::kMicrosecond))) {
             tickUs = parsed;
-            ++i;
-        } else if (arg == "--churn" && parseU64(value, parsed)) {
+        } else if (arg == "--churn" && u64(0)) {
             load.churnPerTick = parsed;
-            ++i;
-        } else if (arg == "--seed" && parseU64(value, parsed)) {
+        } else if (arg == "--seed" && u64(0)) {
             fleetConfig.seed = parsed;
-            ++i;
-        } else if (arg == "--executor" && value) {
-            if (!exec::parseExecutorKind(value, kind))
-                return usage(argv[0]);
-            ++i;
         } else if (arg == "--remote-only") {
             load.remoteOnly = true;
-        } else if (arg == "--drivers") {
-            load.useDrivers = true;
         } else if (arg == "--background-load") {
             fleetConfig.backgroundLoad = true;
         } else if (arg == "--json") {
@@ -236,7 +214,7 @@ main(int argc, char **argv)
     load.duration = sim::milliseconds(durationMs);
     load.tick = sim::microseconds(tickUs);
 
-    auto executor = exec::makeExecutor(kind);
+    auto executor = exec::makeExecutor(exec::ExecutorKind::Sim);
     fleet::Fleet fleet(*executor, fleetConfig);
 
     // Chaos reset schedule: match fleet NICs by device name.

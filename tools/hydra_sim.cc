@@ -11,7 +11,6 @@
  * Usage:
  *   hydra_sim [--server simple|sendfile|onloaded|offloaded|none]
  *             [--client receiver|user-space|offloaded|none]
- *             [--executor sim|threaded] [--batch-max N]
  *             [--seconds N] [--seed N] [--period-ms N]
  *             [--chunk-bytes N] [--drop P] [--quiet-host]
  *             [--no-bus-multicast] [--histogram]
@@ -28,17 +27,24 @@
  * poolfail/ringfull (probabilities), slow-ms/stall-ms (durations),
  * and reset@MS=device[/downtime-ms] (repeatable; devices are
  * server-nic, client-nic, client-disk, client-gpu). Same seed + same
- * spec under the sim executor replays byte-for-byte.
+ * spec replays byte-for-byte.
+ *
+ * Numeric flags are parsed strictly (parseU64/parseDouble): a value
+ * with a sign, fraction, suffix or overflow is a usage error (exit 2),
+ * as is zero for --seconds, --period-ms, --chunk-bytes and the
+ * interval flags, and a --drop outside [0, 1].
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "common/strings.hh"
 #include "core/runtime.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
@@ -59,7 +65,6 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--server simple|sendfile|onloaded|offloaded|none]\n"
         "          [--client receiver|user-space|offloaded|none]\n"
-        "          [--executor sim|threaded] [--batch-max N]\n"
         "          [--seconds N] [--seed N] [--period-ms N]\n"
         "          [--chunk-bytes N] [--drop P] [--quiet-host]\n"
         "          [--no-bus-multicast] [--histogram]\n"
@@ -73,28 +78,6 @@ usage(const char *argv0)
         "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
         argv0);
     return 2;
-}
-
-/**
- * Strict parser for interval flags: a positive base-10 millisecond
- * count, nothing else. "-5", "0", "1.5", "10x", and "" all fail —
- * std::strtoull would silently accept or wrap most of those.
- */
-bool
-parseIntervalMs(const char *value, std::uint64_t &out)
-{
-    if (!value || *value == '\0')
-        return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    if (parsed == 0)
-        return false;
-    out = parsed;
-    return true;
 }
 
 bool
@@ -177,8 +160,8 @@ printSamples(const char *name, const SampleSet &samples,
 /**
  * Per-entity latency report: every labelled histogram the run
  * populated (per-channel delivery latency, per-Offcode service time,
- * per-site ring occupancy, per-device DMA time), with the tail
- * percentiles the telemetry engine tracks.
+ * per-device DMA time), with the tail percentiles the telemetry
+ * engine tracks.
  */
 void
 printLatencyReport()
@@ -190,13 +173,11 @@ printLatencyReport()
         const bool interesting =
             key.rfind("channel.delivery_latency_ns{", 0) == 0 ||
             key.rfind("offcode.service_ns{", 0) == 0 ||
-            key.rfind("exec.ring_occupancy{", 0) == 0 ||
             key.rfind("dma.transfer_ns{", 0) == 0;
         if (!interesting || summary.count == 0)
             continue;
         if (!any) {
-            std::printf("\nper-entity latency "
-                        "(ns; ring occupancy in messages):\n");
+            std::printf("\nper-entity latency (ns):\n");
             std::printf("  %-52s %9s %9s %9s %9s %9s\n", "series", "n",
                         "p50", "p99", "p999", "max");
             any = true;
@@ -304,6 +285,23 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // Strict numeric value in [min, max]; a rejected value is
+        // reported here and the caller exits through usage().
+        auto nextU64 = [&](std::uint64_t &out, std::uint64_t min,
+                           std::uint64_t max =
+                               std::numeric_limits<std::uint64_t>::max()) {
+            const char *value = next();
+            if (value && parseU64(value, out, min, max))
+                return true;
+            std::fprintf(stderr,
+                         "%s: %s wants an integer in [%llu, %llu], "
+                         "got '%s'\n",
+                         argv[0], arg.c_str(),
+                         static_cast<unsigned long long>(min),
+                         static_cast<unsigned long long>(max),
+                         value ? value : "");
+            return false;
+        };
         if (arg == "--server") {
             const char *value = next();
             if (!value || !parseServer(value, config.server))
@@ -312,57 +310,36 @@ main(int argc, char **argv)
             const char *value = next();
             if (!value || !parseClient(value, config.client))
                 return usage(argv[0]);
-        } else if (arg == "--executor" ||
-                   arg.rfind("--executor=", 0) == 0) {
-            std::string value;
-            if (arg == "--executor") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--executor="));
-            }
-            if (!exec::parseExecutorKind(value, config.executor))
-                return usage(argv[0]);
-        } else if (arg == "--batch-max") {
-            const char *value = next();
-            std::uint64_t parsed = 0;
-            // Reuses the strict positive-integer parser: a zero or
-            // malformed quantum is a usage error, not "use default".
-            if (!value || !parseIntervalMs(value, parsed))
-                return usage(argv[0]);
-            config.batchMax = static_cast<std::size_t>(parsed);
         } else if (arg == "--seconds") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t seconds = 0;
+            if (!nextU64(seconds, 1, sim::maxCount(sim::kSecond)))
                 return usage(argv[0]);
-            config.duration = sim::seconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
+            config.duration = sim::seconds(seconds);
         } else if (arg == "--seed") {
-            const char *value = next();
-            if (!value)
+            if (!nextU64(config.seed, 0))
                 return usage(argv[0]);
-            config.seed = std::strtoull(value, nullptr, 10);
         } else if (arg == "--period-ms") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t periodMs = 0;
+            if (!nextU64(periodMs, 1, sim::maxCount(sim::kMillisecond)))
                 return usage(argv[0]);
-            config.sendPeriod = sim::milliseconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
+            config.sendPeriod = sim::milliseconds(periodMs);
         } else if (arg == "--chunk-bytes") {
-            const char *value = next();
-            if (!value)
+            std::uint64_t bytes = 0;
+            if (!nextU64(bytes, 1))
                 return usage(argv[0]);
-            config.chunkBytes = static_cast<std::size_t>(
-                std::strtoull(value, nullptr, 10));
+            config.chunkBytes = static_cast<std::size_t>(bytes);
         } else if (arg == "--drop") {
             const char *value = next();
-            if (!value)
+            double drop = 0.0;
+            if (!value || !parseDouble(value, drop) ||
+                !std::isfinite(drop) || drop < 0.0 || drop > 1.0) {
+                std::fprintf(stderr,
+                             "%s: --drop wants a probability in [0, 1], "
+                             "got '%s'\n",
+                             argv[0], value ? value : "");
                 return usage(argv[0]);
-            config.dropProbability = std::strtod(value, nullptr);
+            }
+            config.dropProbability = drop;
         } else if (arg == "--quiet-host") {
             config.quietHost = true;
         } else if (arg == "--no-bus-multicast") {
@@ -412,28 +389,18 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             flightOut = value;
         } else if (arg == "--flight-interval-ms") {
-            const char *value = next();
-            if (!value || !parseIntervalMs(value, flightIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --flight-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
+            if (!nextU64(flightIntervalMs, 1,
+                         sim::maxCount(sim::kMillisecond)))
                 return usage(argv[0]);
-            }
         } else if (arg == "--profile-out") {
             const char *value = next();
             if (!value)
                 return usage(argv[0]);
             profileOut = value;
         } else if (arg == "--profile-interval-ms") {
-            const char *value = next();
-            if (!value || !parseIntervalMs(value, profileIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --profile-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
+            if (!nextU64(profileIntervalMs, 1,
+                         sim::maxCount(sim::kMillisecond)))
                 return usage(argv[0]);
-            }
         } else if (arg == "--slo") {
             const char *value = next();
             if (!value)
@@ -505,12 +472,11 @@ main(int argc, char **argv)
 #endif
     }
 
-    std::printf("hydra_sim: server=%s client=%s executor=%s"
+    std::printf("hydra_sim: server=%s client=%s"
                 " duration=%.0fs seed=%llu"
                 " period=%.1fms chunk=%zuB drop=%.3f\n",
                 std::string(serverKindName(config.server)).c_str(),
                 std::string(clientKindName(config.client)).c_str(),
-                exec::executorKindName(config.executor),
                 sim::toSeconds(config.duration),
                 static_cast<unsigned long long>(config.seed),
                 sim::toMilliseconds(config.sendPeriod), config.chunkBytes,

@@ -9,8 +9,8 @@
  *
  * Also reads flight recordings (`hydra_sim --flight-out FILE`, or the
  * hydra.Monitor "Flight" OOB reply): the latest snapshot's histogram
- * summaries render as percentile columns and every gauge series (ring
- * depths, queue occupancy) renders as a sparkline over time.
+ * summaries render as percentile columns and every gauge series
+ * renders as a sparkline over time.
  *
  * Usage:
  *   hydra_top FILE
@@ -268,21 +268,6 @@ renderFlight(const hydra::json::Value &doc, const char *path)
                 latest.emplace_back(key, &summary);
         }
     }
-    // Batch-size digests get their own panel: these percentiles are
-    // item counts per drain, not nanoseconds, so mixing them into the
-    // latency table would invite misreading.
-    std::vector<std::pair<std::string, const hydra::json::Value *>>
-        batches;
-    latest.erase(
-        std::remove_if(
-            latest.begin(), latest.end(),
-            [&](const auto &entry) {
-                if (entry.first.rfind("exec.batch_size{", 0) != 0)
-                    return false;
-                batches.push_back(entry);
-                return true;
-            }),
-        latest.end());
     if (!latest.empty()) {
         std::sort(latest.begin(), latest.end());
         std::size_t keyWidth = std::strlen("SERIES");
@@ -304,66 +289,6 @@ renderFlight(const hydra::json::Value &doc, const char *path)
                 numberField(*summary, "max"));
         }
     }
-    if (!batches.empty()) {
-        std::sort(batches.begin(), batches.end());
-        std::size_t keyWidth = std::strlen("BATCH (items/drain)");
-        for (const auto &[key, summary] : batches)
-            keyWidth = std::max(keyWidth, key.size());
-        std::printf("\n%-*s %9s %9s %9s %9s %9s\n",
-                    static_cast<int>(keyWidth), "BATCH (items/drain)",
-                    "N", "P50", "P90", "P99", "MAX");
-        for (const auto &[key, summary] : batches) {
-            std::printf("%-*s %9llu %9.0f %9.0f %9.0f %9.0f\n",
-                        static_cast<int>(keyWidth), key.c_str(),
-                        static_cast<unsigned long long>(
-                            u64Field(*summary, "n")),
-                        numberField(*summary, "p50"),
-                        numberField(*summary, "p90"),
-                        numberField(*summary, "p99"),
-                        numberField(*summary, "max"));
-        }
-        // Doorbell coalescing totals ride along: saved notifies are
-        // the batch panel's other half (N posts, one wake).
-        std::vector<std::string> bellKeys;
-        for (const hydra::json::Value &snapshot : snapshots->array) {
-            const hydra::json::Value *counters =
-                snapshot.find("counters");
-            if (!counters || !counters->isObject())
-                continue;
-            for (const auto &[key, value] : counters->object)
-                if (key.rfind("exec.doorbells_coalesced{", 0) == 0 &&
-                    std::find(bellKeys.begin(), bellKeys.end(), key) ==
-                        bellKeys.end())
-                    bellKeys.push_back(key);
-        }
-        std::sort(bellKeys.begin(), bellKeys.end());
-        for (const std::string &key : bellKeys) {
-            // Snapshots carry the cumulative count; the trend is the
-            // per-interval delta and the headline number is the
-            // final cumulative value.
-            std::vector<double> deltas;
-            double previous = 0.0;
-            double last = 0.0;
-            for (const hydra::json::Value &snapshot :
-                 snapshots->array) {
-                const hydra::json::Value *counters =
-                    snapshot.find("counters");
-                const hydra::json::Value *value =
-                    counters ? counters->find(key) : nullptr;
-                const double cumulative =
-                    value ? value->number : previous;
-                deltas.push_back(cumulative > previous
-                                     ? cumulative - previous
-                                     : 0.0);
-                previous = cumulative;
-                last = cumulative;
-            }
-            std::printf("%-*s %9.0f  %s\n",
-                        static_cast<int>(keyWidth), key.c_str(), last,
-                        sparkline(deltas).c_str());
-        }
-    }
-
     // Gauge sparklines: gather the union of keys, then one aligned
     // series per key (absent-in-snapshot means zero). Utilization
     // gauges render in their own percent panel.
